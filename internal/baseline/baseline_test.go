@@ -305,3 +305,44 @@ func TestTopology(t *testing.T) {
 		t.Fatalf("node 1 holds %d partitions, want 6", holds)
 	}
 }
+
+// TestSpinWaitAfterSimEngine pins the baseline engines' spin-wait
+// reset: after a simulated engine has run, building one on the real
+// runtime restores the OS-thread yield, so a spinner on a held latch
+// acquires it once released instead of sleeping on the stopped
+// simulator.
+func TestSpinWaitAfterSimEngine(t *testing.T) {
+	s := rt.NewSim()
+	wl := ycsbWL(2, 2, 20)
+	cfg := baseCfg(s, 2, 2, wl)
+	cfg.Workload = wl
+	NewPBOCC(cfg)
+	s.Run(5 * time.Millisecond)
+	s.Stop()
+
+	r := rt.NewReal()
+	cfg.RT = r
+	NewPBOCC(cfg)
+	defer r.Stop()
+
+	db := wl.BuildDB(4, nil)
+	wl.Load(db)
+	rec := db.Table(ycsb.TableID).Get(0, wl.Key(0, 0))
+	rec.Lock()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		rec.Lock() // held: spins through storage.SpinWait
+		rec.Unlock()
+	}()
+	time.Sleep(5 * time.Millisecond)
+	rec.Unlock()
+	select {
+	case p := <-done:
+		if p != nil {
+			t.Fatalf("latch spinner panicked: %v", p)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("latch spinner never acquired the released latch")
+	}
+}

@@ -52,8 +52,12 @@ type Config struct {
 // installSpinWait mirrors core.installSpinWait for the baseline engines.
 func installSpinWait(r rt.Runtime) {
 	if _, isSim := r.(*rt.Sim); isSim {
-		storage.SpinWait = func() { r.Sleep(200 * time.Nanosecond) }
+		storage.SetSpinWait(func() { r.Sleep(200 * time.Nanosecond) })
+		return
 	}
+	// Not simulated: drop any earlier simulated engine's hook, which
+	// would otherwise sleep on a stopped simulator.
+	storage.SetSpinWait(nil)
 }
 
 func (c Config) withDefaults() Config {

@@ -139,7 +139,9 @@ func (c *coordinator) taus() (tauP, tauS time.Duration) {
 	return c.lastTauP, c.lastTauS
 }
 
-func (c *coordinator) curTau(phase Phase) time.Duration {
+// curTau returns the duration of the next phase; drain reports a
+// backlog-forced single-master slice (see msgStartPhase.Drain).
+func (c *coordinator) curTau(phase Phase) (tau time.Duration, drain bool) {
 	c.statMu.Lock()
 	defer c.statMu.Unlock()
 	if phase == SingleMaster {
@@ -147,11 +149,11 @@ func (c *coordinator) curTau(phase Phase) time.Duration {
 			// Backlog-forced drain slice: τs is tuned to zero (no
 			// cross-partition work in the generated load), but forwarded
 			// client requests are waiting at the master.
-			return c.e.cfg.Iteration / 50
+			return c.e.cfg.Iteration / 50, true
 		}
-		return c.lastTauS
+		return c.lastTauS, false
 	}
-	return c.lastTauP
+	return c.lastTauP, false
 }
 
 func (c *coordinator) setBacklog(q int64) {
@@ -188,17 +190,17 @@ func (c *coordinator) loop() {
 			r.Sleep(10 * time.Millisecond)
 			continue
 		}
-		tau := c.curTau(c.phase)
+		tau, drain := c.curTau(c.phase)
 		if tau <= 0 {
 			c.advancePhase()
 			continue
 		}
-		c.runPhase(tau)
+		c.runPhase(tau, drain)
 	}
 }
 
 // runPhase executes one phase plus its replication fence.
-func (c *coordinator) runPhase(tau time.Duration) {
+func (c *coordinator) runPhase(tau time.Duration, drain bool) {
 	r := c.e.cfg.RT
 	prop := 2 * c.e.cfg.Net.Latency // command propagation allowance
 	budget := prop + tau
@@ -215,6 +217,7 @@ func (c *coordinator) runPhase(tau time.Duration) {
 		Deadline: budget,
 		Master:   c.master,
 		Failed:   c.failedList(),
+		Drain:    drain,
 	})
 	grace := 10*tau + c.minGrace + c.graceBoost
 	c.graceBoost = 0

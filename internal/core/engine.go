@@ -417,8 +417,12 @@ func (e *Engine) LastCheckpoint(node int) string {
 // sleep on the simulation runtime (see storage.SpinWait).
 func installSpinWait(r rt.Runtime) {
 	if _, isSim := r.(*rt.Sim); isSim {
-		storage.SpinWait = func() { r.Sleep(200 * time.Nanosecond) }
+		storage.SetSpinWait(func() { r.Sleep(200 * time.Nanosecond) })
+		return
 	}
+	// Not simulated: drop any earlier simulated engine's hook, which
+	// would otherwise sleep on a stopped simulator.
+	storage.SetSpinWait(nil)
 }
 
 // Net exposes the cluster network (tests and benches read its byte

@@ -60,6 +60,13 @@ type msgStartPhase struct {
 	// single-master phase.
 	ScriptTxns     int
 	ScriptDeferred int64
+
+	// Drain marks a backlog-forced single-master slice: τs is tuned to
+	// zero but requests are queued at the master. The slice is short
+	// (Iteration/50), and a worker can pick the command up after its
+	// deadline, so the master executes every request queued at the
+	// slice's start even past the deadline instead of none.
+	Drain bool
 }
 
 func (msgStartPhase) Size() int { return 64 }

@@ -31,6 +31,10 @@ type node struct {
 	// masterQ holds deferred cross-partition requests (meaningful on the
 	// designated master).
 	masterQ rt.Chan
+	// drainOwed counts the queued requests a backlog-forced single-master
+	// slice still owes (msgStartPhase.Drain): armed by the router at the
+	// phase start, decremented by the master's workers as they dequeue.
+	drainOwed atomic.Int64
 
 	// Cluster view, updated by coordinator messages. epoch is atomic
 	// because the applier processes and the checkpointer read it while
@@ -334,9 +338,21 @@ func (n *node) startPhase(m msgStartPhase) {
 	n.setFailed(m.Failed)
 	n.workersDone = 0
 	n.phaseCommitted, n.genSingle, n.genCross = 0, 0, 0
+	n.armDrain(m)
 	for _, w := range n.workers {
 		w.ctl.Send(m)
 	}
+}
+
+// armDrain records what a backlog-forced slice owes: every request
+// queued at this master as the slice starts. Any other phase owes
+// nothing.
+func (n *node) armDrain(m msgStartPhase) {
+	var owed int64
+	if m.Drain && m.Phase == SingleMaster && m.Master == n.id {
+		owed = int64(n.masterQ.Len())
+	}
+	n.drainOwed.Store(owed)
 }
 
 // setFailed installs a new failure set, rebuilding the precomputed
@@ -498,8 +514,15 @@ func (n *node) applyBatch(b *msgReplBatch) {
 		n.applyEntries(b.From, epoch, b.Entries)
 		return
 	}
-	var per [][]replication.Entry
-	per = make([][]replication.Entry, shards)
+	if sh, ok := oneShard(b.Entries, shards); ok {
+		// The whole envelope lands on one applier (always, when the
+		// sender's writes are to one partition): hand its entries over
+		// as they are instead of copying them. Appliers only read
+		// entries, so a duplicated delivery may share them too.
+		n.appliers[sh].Send(applierBatch{from: b.From, epoch: epoch, entries: b.Entries})
+		return
+	}
+	per := make([][]replication.Entry, shards)
 	for i := range b.Entries {
 		sh := int(b.Entries[i].Part) % shards
 		per[sh] = append(per[sh], b.Entries[i])
@@ -509,6 +532,21 @@ func (n *node) applyBatch(b *msgReplBatch) {
 			n.appliers[sh].Send(applierBatch{from: b.From, epoch: epoch, entries: ents})
 		}
 	}
+}
+
+// oneShard reports the applier shard every entry maps to, if they all
+// map to the same one.
+func oneShard(ents []replication.Entry, shards int) (int, bool) {
+	if len(ents) == 0 {
+		return 0, false
+	}
+	sh := int(ents[0].Part) % shards
+	for i := 1; i < len(ents); i++ {
+		if int(ents[i].Part)%shards != sh {
+			return 0, false
+		}
+	}
+	return sh, true
 }
 
 // batchEpoch resolves the epoch a replication envelope applies under.

@@ -239,7 +239,6 @@ func scriptStamp(seq int64, node, worker int) int64 {
 // runPartitioned: exactly ScriptTxns generator steps per owned
 // partition, no deadline, no freeze checks, no tail flushing.
 func (w *worker) runPartitionedScripted(cmd msgStartPhase) {
-	r := w.n.e.cfg.RT
 	parts := w.n.ownedPartitions(w.idx)
 	if len(parts) == 0 {
 		return
@@ -248,19 +247,7 @@ func (w *worker) runPartitionedScripted(cmd msgStartPhase) {
 	for step := 0; step < cmd.ScriptTxns; step++ {
 		for _, home := range parts {
 			seq++
-			w.req.ResetFor(w.gen.Mixed(home), scriptStamp(seq, w.n.id, w.idx))
-			if w.req.Cross || txn.IsDeferred(w.req.Proc) {
-				if w.snapshotServe(&w.req, cmd.Epoch) {
-					w.genSingle++ // served locally; not part of the master drain
-					continue
-				}
-				w.genCross++
-				w.n.e.net.Send(w.n.id, cmd.Master, transport.Data, msgDefer{Req: w.req.Clone()})
-				r.Compute(w.n.e.cfg.Cost.TxnOverhead / 2)
-				continue
-			}
-			w.genSingle++
-			w.execSerial(&w.req, cmd.Epoch)
+			w.partitionedStep(home, scriptStamp(seq, w.n.id, w.idx), cmd.Epoch, cmd.Master)
 		}
 	}
 }

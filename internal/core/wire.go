@@ -74,7 +74,8 @@ func registerMessages(c *wire.Codec) {
 			b = wire.AppendVarint(b, int64(v.Master))
 			b = wire.AppendInts(b, v.Failed)
 			b = wire.AppendVarint(b, int64(v.ScriptTxns))
-			return wire.AppendVarint(b, v.ScriptDeferred)
+			b = wire.AppendVarint(b, v.ScriptDeferred)
+			return wire.AppendBool(b, v.Drain)
 		},
 		func(b []byte) (transport.Message, []byte, error) {
 			var v msgStartPhase
@@ -103,6 +104,9 @@ func registerMessages(c *wire.Codec) {
 			}
 			v.ScriptTxns = int(x)
 			if v.ScriptDeferred, b, err = wire.Varint(b); err != nil {
+				return nil, nil, err
+			}
+			if v.Drain, b, err = wire.Bool(b); err != nil {
 				return nil, nil, err
 			}
 			return v, b, nil

@@ -101,6 +101,10 @@ func sampleMessages(tw *tpcc.Workload, yw *ycsb.Workload) []transport.Message {
 		ClientResp{Ticket: 12, Status: StatusOK, Token: 9, Reads: 31},
 		ClientResp{Ticket: 13, Status: StatusBusy},
 		ClientResp{Ticket: 14, Status: StatusAborted, Token: 2},
+		// A backlog-forced drain slice (appended last: the fuzz corpus
+		// seeds are numbered by position).
+		msgStartPhase{Phase: SingleMaster, Epoch: 10, Deadline: 200 * time.Microsecond,
+			Master: 0, Drain: true},
 	}
 }
 

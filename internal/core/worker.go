@@ -27,9 +27,12 @@ import (
 // accumulate in worker-local shards that the router drains at the phase
 // fence.
 type worker struct {
-	n    *node
-	idx  int
-	gen  workload.Gen
+	n   *node
+	idx int
+	gen workload.Gen
+	// rec is gen's optional Recycler (nil when it has none): procedures
+	// that finished inside this worker are handed back for reuse.
+	rec  workload.Recycler
 	rng  *rand.Rand
 	tid  occ.TIDGen
 	strm *replication.Stream
@@ -83,6 +86,7 @@ func newWorker(n *node, idx int) *worker {
 		ctl:  e.cfg.RT.NewChan(4),
 		resp: e.cfg.RT.NewChan(16),
 	}
+	w.rec, _ = w.gen.(workload.Recycler)
 	w.lctx.w = w
 	w.sctx.n = n
 	return w
@@ -150,31 +154,50 @@ func (w *worker) runPartitioned(cmd msgStartPhase) {
 		tail.maybeFlush(r.Now())
 		home := parts[pi]
 		pi = (pi + 1) % len(parts)
-		w.req.ResetFor(w.gen.Mixed(home), int64(r.Now()))
-		if w.req.Cross || txn.IsDeferred(w.req.Proc) {
-			if w.snapshotServe(&w.req, cmd.Epoch) {
-				// Served from the local fence snapshot: no master
-				// routing, and no single-master phase needed for it.
-				w.genSingle++
-				continue
-			}
-			// Defer to the master node's queue (§4.1), one request per
-			// message. Deliberately NOT batched: interleaved arrival
-			// from many source workers is what keeps adjacent queue
-			// entries conflict-independent — shipping runs of requests
-			// from one generator makes the master's OCC workers execute
-			// same-partition transactions back to back and the abort
-			// rate explodes (measured: 4x aborts, -36% throughput on
-			// paper-scale TPC-C at P=10). The request escapes this
-			// worker, so it gets its own heap copy.
-			w.genCross++
-			w.n.e.net.Send(w.n.id, cmd.Master, transport.Data, msgDefer{Req: w.req.Clone()})
-			r.Compute(w.n.e.cfg.Cost.TxnOverhead / 2)
-			continue
-		}
-		w.genSingle++
-		w.execSerial(&w.req, cmd.Epoch)
+		w.partitionedStep(home, int64(r.Now()), cmd.Epoch, cmd.Master)
 	}
+}
+
+// partitionedStep generates one transaction homed at home and either
+// runs it serially, serves it from the fence snapshot, or defers it to
+// the master. A procedure that ran to completion here is handed back to
+// the generator; a deferred one escapes (its Clone shares Proc) and is
+// never recycled.
+func (w *worker) partitionedStep(home int, genAt int64, epoch uint64, master int) {
+	w.req.ResetFor(w.gen.Mixed(home), genAt)
+	if w.req.Cross || txn.IsDeferred(w.req.Proc) {
+		if w.snapshotServe(&w.req, epoch) {
+			// Served from the local fence snapshot: no master
+			// routing, and no single-master phase needed for it.
+			w.genSingle++
+			w.recycle()
+			return
+		}
+		// Defer to the master node's queue (§4.1), one request per
+		// message. Deliberately NOT batched: interleaved arrival from
+		// many source workers is what keeps adjacent queue entries
+		// conflict-independent — shipping runs of requests from one
+		// generator makes the master's OCC workers execute
+		// same-partition transactions back to back and the abort rate
+		// explodes (measured: 4x aborts, -36% throughput on paper-scale
+		// TPC-C at P=10). The request escapes this worker, so it gets
+		// its own heap copy.
+		w.genCross++
+		w.n.e.net.Send(w.n.id, master, transport.Data, msgDefer{Req: w.req.Clone()})
+		w.n.e.cfg.RT.Compute(w.n.e.cfg.Cost.TxnOverhead / 2)
+		return
+	}
+	w.genSingle++
+	w.execSerial(&w.req, epoch)
+	w.recycle()
+}
+
+// recycle hands the scratch request's procedure back to the generator.
+func (w *worker) recycle() {
+	if w.rec != nil {
+		w.rec.Recycle(w.req.Proc)
+	}
+	w.req.Proc = nil
 }
 
 // execSerial runs a single-partition transaction with no concurrency
@@ -240,19 +263,28 @@ func (w *worker) runSingleMaster(cmd msgStartPhase) {
 	r := e.cfg.RT
 	nparts := e.cfg.NumPartitions()
 	tail := w.newTailFlusher(cmd.Deadline)
-	for r.Now() < cmd.Deadline {
-		if e.frozen.Load() {
+	for {
+		now := r.Now()
+		// A backlog-forced slice runs past its deadline until the
+		// requests queued at its start have been taken (armDrain).
+		owing := cmd.Drain && w.n.drainOwed.Load() > 0
+		if (now >= cmd.Deadline && !owing) || e.frozen.Load() {
 			break
 		}
-		tail.maybeFlush(r.Now())
+		tail.maybeFlush(now)
 		var req *txn.Request
 		if v, ok := w.n.masterQ.TryRecv(); ok {
 			req = v.(*txn.Request)
+			if owing {
+				w.n.drainOwed.Add(-1)
+			}
+		} else if now >= cmd.Deadline {
+			break // overtime is for the queued backlog only
 		} else {
 			// Queue drained: generate fresh cross-partition work (§7.1:
 			// workers generate and run transactions back to back).
 			home := w.rng.Intn(nparts)
-			req = txn.NewRequest(w.gen.Cross(home), int64(r.Now()))
+			req = txn.NewRequest(w.gen.Cross(home), int64(now))
 			w.genCross++
 		}
 		if w.snapshotServe(req, cmd.Epoch) {

@@ -257,13 +257,19 @@ type Limits struct {
 // dstBuf is one destination's pending batch: the entry headers plus the
 // arenas their Row/Ops payloads are copied into. Arena-backed copies make
 // Append allocation-free per entry — callers hand in entries whose
-// payload slices they immediately reuse, and the only allocations are
-// the amortised arena growths and the per-envelope handoff at flush.
+// payload slices they immediately reuse. The buffers leave with each
+// envelope, so every envelope allocates its own; they are sized from
+// the envelope shipped before (the size hints below), so a steady
+// stream allocates each buffer once per envelope instead of growing it
+// by doubling.
 type dstBuf struct {
 	entries []Entry
 	bytes   int
 	arena   []byte            // Row bytes and FieldOp args
 	ops     []storage.FieldOp // op-entry headers
+	// Capacity hints for the next envelope's buffers, taken from the
+	// last one shipped (0: grow from empty).
+	hintEntries, hintArena, hintOps int
 	// limit is this destination's current byte threshold (adaptive mode
 	// re-derives it each epoch; fixed mode mirrors Limits.Bytes).
 	limit int
@@ -361,6 +367,9 @@ func (s *Stream) Append(dst int, e Entry) {
 		return
 	}
 	b := s.dst(dst)
+	if b.entries == nil && b.hintEntries > 0 {
+		b.presize()
+	}
 	if len(b.entries) < cap(b.entries) {
 		b.entries = b.entries[:len(b.entries)+1]
 	} else {
@@ -406,14 +415,31 @@ func (s *Stream) Broadcast(dsts []int, e Entry) {
 	}
 }
 
+// presize allocates an empty envelope's buffers at the hinted sizes
+// plus one average entry of headroom, so an envelope one entry longer
+// than the last does not double its buffers. Callers ensure
+// hintEntries > 0.
+func (b *dstBuf) presize() {
+	n := b.hintEntries
+	b.entries = make([]Entry, 0, n+1)
+	if b.hintArena > 0 {
+		b.arena = make([]byte, 0, b.hintArena+b.hintArena/n)
+	}
+	if b.hintOps > 0 {
+		b.ops = make([]storage.FieldOp, 0, b.hintOps+b.hintOps/n+1)
+	}
+}
+
 func (s *Stream) flushDst(dst int, b *dstBuf) {
 	if len(b.entries) == 0 {
 		return
 	}
 	entries := b.entries
-	// The entries and their arenas escape with the envelope; fresh
-	// buffers start the next batch (one amortised allocation per
-	// envelope, not per entry).
+	// The entries and their arenas escape with the envelope (the
+	// receiver, or a transport that delivers one envelope twice, still
+	// reads them), so the next batch starts from fresh buffers, sized
+	// on first use from this one.
+	b.hintEntries, b.hintArena, b.hintOps = len(entries), len(b.arena), len(b.ops)
 	b.entries, b.bytes, b.arena, b.ops = nil, 0, nil, nil
 	s.tracker.AddSent(dst, int64(len(entries)))
 	s.net.Send(s.src, dst, transport.Replication, &Batch{From: s.src, Epoch: s.epoch, Entries: entries})

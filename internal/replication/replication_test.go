@@ -412,3 +412,50 @@ func TestStreamAdaptiveThreshold(t *testing.T) {
 	s.Run(100 * time.Millisecond)
 	s.Stop()
 }
+
+// captureNet records the envelopes a Stream ships (Send is all a
+// Stream uses of its transport).
+type captureNet struct {
+	transport.Transport
+	batches []*Batch
+}
+
+func (c *captureNet) Send(_, _ int, _ transport.Class, m transport.Message) {
+	c.batches = append(c.batches, m.(*Batch))
+}
+
+// TestStreamPresizesNextEnvelope pins the envelope sizing: after the
+// first envelope, each one allocates its buffers once at the size of
+// the last instead of growing them by doubling, and every shipped
+// envelope keeps its own entries.
+func TestStreamPresizesNextEnvelope(t *testing.T) {
+	const per = 50
+	net := &captureNet{}
+	st := NewStream(net, NewTracker(2), 0, Limits{Entries: per})
+	row := bankSchema().NewRow()
+	key := uint64(0)
+	envelope := func() {
+		for i := 0; i < per; i++ {
+			st.Append(1, Entry{Table: 0, Part: 0, Key: storage.K1(key), TID: storage.MakeTID(2, key+1), Row: row})
+			key++
+		}
+	}
+	envelope() // grows from empty
+	// The entry buffer, the arena and the Batch itself.
+	if allocs := testing.AllocsPerRun(3, envelope); allocs > 3 {
+		t.Fatalf("a pre-sized envelope took %v allocations, want at most 3", allocs)
+	}
+	if len(net.batches) != 5 {
+		t.Fatalf("%d envelopes shipped, want 5", len(net.batches))
+	}
+	for bi, b := range net.batches {
+		if len(b.Entries) != per {
+			t.Fatalf("envelope %d holds %d entries", bi, len(b.Entries))
+		}
+		for i := range b.Entries {
+			if want := storage.K1(uint64(bi*per + i)); b.Entries[i].Key != want || len(b.Entries[i].Row) != len(row) {
+				t.Fatalf("envelope %d entry %d was overwritten", bi, i)
+			}
+		}
+	}
+}

@@ -35,8 +35,15 @@ type FieldOp struct {
 
 // SetFieldOp builds an OpSetField carrying the field's raw encoding.
 func SetFieldOp(s *Schema, row []byte, field int) FieldOp {
+	return AppendSetFieldOp(nil, s, row, field)
+}
+
+// AppendSetFieldOp is SetFieldOp with the Arg copied into buf's backing
+// array (from its start), so a caller that owns buf rebuilds the op
+// without allocating once buf has grown to the field's width.
+func AppendSetFieldOp(buf []byte, s *Schema, row []byte, field int) FieldOp {
 	raw := s.fieldSlice(row, field)
-	return FieldOp{Field: uint8(field), Kind: OpSetField, Arg: append([]byte(nil), raw...)}
+	return FieldOp{Field: uint8(field), Kind: OpSetField, Arg: append(buf[:0], raw...)}
 }
 
 // AddInt64Op builds an integer-delta op.

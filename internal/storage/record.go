@@ -5,13 +5,34 @@ import (
 	"sync/atomic"
 )
 
-// SpinWait is invoked while spinning on a held record latch. The default
-// yields the OS thread. The simulation runtime replaces it (via the
-// engines' constructors) with a small virtual-time sleep so that a
-// spinning process advances the clock instead of wedging the cooperative
+// spinHook is what a latch spinner calls between attempts (nil: yield
+// the OS thread). The simulation runtime installs a small virtual-time
+// sleep (via the engines' constructors, SetSpinWait) so that a spinning
+// process advances the clock instead of wedging the cooperative
 // scheduler — e.g. when synchronous replication parks a worker that
-// still holds its write latches (§6.1).
-var SpinWait = func() { runtime.Gosched() }
+// still holds its write latches (§6.1). It is atomic because an engine
+// built on the real runtime resets it while other engines' processes
+// may be spinning.
+var spinHook atomic.Pointer[func()]
+
+// SetSpinWait installs f as the latch spin-wait; nil restores the
+// default, runtime.Gosched.
+func SetSpinWait(f func()) {
+	if f == nil {
+		spinHook.Store(nil)
+		return
+	}
+	spinHook.Store(&f)
+}
+
+// SpinWait is invoked while spinning on a held record latch.
+func SpinWait() {
+	if f := spinHook.Load(); f != nil {
+		(*f)()
+		return
+	}
+	runtime.Gosched()
+}
 
 // Record is one row version chain: the current value plus, while an epoch
 // is in flight, the last value committed before that epoch. The prior

@@ -33,3 +33,13 @@ type Gen interface {
 	// Cross returns a cross-partition transaction homed at `home`.
 	Cross(home int) txn.Procedure
 }
+
+// Recycler is optionally implemented by a Gen that can reuse a procedure
+// it produced once the engine is finished with it. The engine calls
+// Recycle only for a procedure that ran to completion inside the worker
+// that generated it and was not retained (never for one routed to
+// another node or queued), so the generator may hand the same instance,
+// and the buffers it owns, out again on its next call.
+type Recycler interface {
+	Recycle(p txn.Procedure)
+}

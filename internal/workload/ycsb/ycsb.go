@@ -121,12 +121,17 @@ func (w *Workload) Load(db *storage.DB) {
 	}
 }
 
-// Gen implements workload.Gen for YCSB.
+// Gen implements workload.Gen and workload.Recycler for YCSB.
 type Gen struct {
 	w   *Workload
 	rng *rand.Rand
 	row []byte // scratch row for building write ops
 	val []byte // scratch payload
+	// last is the transaction most recently handed out. Once the engine
+	// returns it through Recycle it moves to free, and the next call
+	// refills it in place — footprint slices and op argument included —
+	// instead of allocating a new one.
+	last, free *Txn
 }
 
 // NewGen implements workload.Workload.
@@ -241,16 +246,22 @@ func (w *Workload) WriteTxn(parts, rows []int, val []byte) *Txn {
 
 func (g *Gen) gen(home int, cross bool) txn.Procedure {
 	cfg := g.w.cfg
-	t := &Txn{
-		w:      g.w,
-		parts:  make([]int, cfg.OpsPerTxn),
-		keys:   make([]storage.Key, cfg.OpsPerTxn),
-		writes: make([]bool, cfg.OpsPerTxn),
+	t := g.free
+	g.free = nil
+	if t == nil {
+		t = &Txn{
+			w:      g.w,
+			parts:  make([]int, cfg.OpsPerTxn),
+			keys:   make([]storage.Key, cfg.OpsPerTxn),
+			writes: make([]bool, cfg.OpsPerTxn),
+			accs:   make([]txn.Access, cfg.OpsPerTxn),
+			ops:    make([]storage.FieldOp, 1),
+		}
 	}
+	g.last = t
 	g.rng.Read(g.val)
 	g.w.schema.SetBytes(g.row, 1, g.val)
-	t.ops = []storage.FieldOp{storage.SetFieldOp(g.w.schema, g.row, 1)}
-	seen := make(map[storage.Key]struct{}, cfg.OpsPerTxn)
+	t.ops[0] = storage.AppendSetFieldOp(t.ops[0].Arg, g.w.schema, g.row, 1)
 	for i := 0; i < cfg.OpsPerTxn; i++ {
 		p := home
 		if cross && i > 0 {
@@ -259,11 +270,10 @@ func (g *Gen) gen(home int, cross bool) txn.Procedure {
 		var k storage.Key
 		for attempt := 0; ; attempt++ {
 			k = g.w.Key(p, g.rng.Intn(cfg.RecordsPerPartition))
-			if _, dup := seen[k]; !dup || attempt >= 8 {
+			if !hasKey(t.keys[:i], k) || attempt >= 8 {
 				break
 			}
 		}
-		seen[k] = struct{}{}
 		t.parts[i] = p
 		t.keys[i] = k
 		t.writes[i] = i >= cfg.OpsPerTxn-cfg.WritesPerTxn
@@ -275,11 +285,31 @@ func (g *Gen) gen(home int, cross bool) txn.Procedure {
 			t.keys[cfg.OpsPerTxn-1] = g.w.Key(t.parts[cfg.OpsPerTxn-1], g.rng.Intn(cfg.RecordsPerPartition))
 		}
 	}
-	t.accs = make([]txn.Access, cfg.OpsPerTxn)
 	for i := range t.keys {
 		t.accs[i] = txn.Access{Table: TableID, Part: t.parts[i], Key: t.keys[i], Write: t.writes[i]}
 	}
 	return t
+}
+
+// Recycle implements workload.Recycler: the transaction this generator
+// handed out last becomes the one its next call refills. Anything else
+// (an older transaction, one built by WriteTxn/ReadTxn or decoded off
+// the wire) is ignored.
+func (g *Gen) Recycle(p txn.Procedure) {
+	if t, ok := p.(*Txn); ok && t == g.last {
+		g.free, g.last = t, nil
+	}
+}
+
+// hasKey reports whether k is among ks: a footprint is a handful of
+// keys, so a linear scan beats a per-transaction map.
+func hasKey(ks []storage.Key, k storage.Key) bool {
+	for _, x := range ks {
+		if x == k {
+			return true
+		}
+	}
+	return false
 }
 
 func allSame(ps []int) bool {

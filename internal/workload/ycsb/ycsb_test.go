@@ -1,6 +1,8 @@
 package ycsb
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"star/internal/storage"
@@ -165,5 +167,118 @@ func TestRowSizeMatchesPaper(t *testing.T) {
 	// "10 columns of 10 random bytes".
 	if got := w.Schema().RowSize(); got != 120 {
 		t.Fatalf("row size %d", got)
+	}
+}
+
+// sameTxn fails unless a and b have identical footprints and write
+// values.
+func sameTxn(t *testing.T, i int, a, b *Txn) {
+	t.Helper()
+	if !reflect.DeepEqual(a.Accesses(), b.Accesses()) {
+		t.Fatalf("txn %d: footprints differ:\n%v\n%v", i, a.Accesses(), b.Accesses())
+	}
+	if !reflect.DeepEqual(a.ops, b.ops) {
+		t.Fatalf("txn %d: write ops differ: %v vs %v", i, a.ops, b.ops)
+	}
+}
+
+// TestRecyclingGenMatchesFresh pins that recycling changes nothing a
+// transaction carries: a generator whose every transaction is handed
+// back produces the same footprints and values as one that allocates
+// each anew, and it really does refill the same instance.
+func TestRecyclingGenMatchesFresh(t *testing.T) {
+	w := small()
+	fresh, recycled := w.NewGen(11).(*Gen), w.NewGen(11).(*Gen)
+	var prev *Txn
+	for i := 0; i < 2000; i++ {
+		home := i % 4
+		a := fresh.Mixed(home).(*Txn)
+		b := recycled.Mixed(home).(*Txn)
+		sameTxn(t, i, a, b)
+		if prev != nil && b != prev {
+			t.Fatalf("txn %d: recycled generator allocated a new transaction", i)
+		}
+		recycled.Recycle(b)
+		prev = b
+	}
+}
+
+// TestGenNeverReissuesUnrecycled pins the ownership rule: a transaction
+// that was not handed back — or was handed back after a newer one went
+// out — is never returned again.
+func TestGenNeverReissuesUnrecycled(t *testing.T) {
+	g := small().NewGen(12).(*Gen)
+	a := g.Cross(1)
+	b := g.Cross(1)
+	if a == b {
+		t.Fatal("unrecycled transaction handed out again")
+	}
+	g.Recycle(a) // stale: b went out after it
+	if c := g.Cross(1); c == a || c == b {
+		t.Fatal("stale or outstanding transaction handed out again")
+	}
+	explicit := g.w.WriteTxn([]int{0}, []int{1}, []byte("v"))
+	g.Recycle(explicit) // no generator owns a WriteTxn
+	if d := g.Single(0); d == explicit {
+		t.Fatal("explicitly built transaction adopted by the generator")
+	}
+}
+
+// mapGen is the generator's key-drawing loop as it was written with a
+// per-transaction seen-set map; the linear scan that replaced it must
+// draw the same random numbers in the same order.
+func mapGen(w *Workload, rng *rand.Rand, row, val []byte, home int, cross bool) ([]int, []storage.Key, []byte) {
+	cfg := w.cfg
+	parts := make([]int, cfg.OpsPerTxn)
+	keys := make([]storage.Key, cfg.OpsPerTxn)
+	rng.Read(val)
+	w.schema.SetBytes(row, 1, val)
+	arg := storage.SetFieldOp(w.schema, row, 1).Arg
+	seen := make(map[storage.Key]struct{}, cfg.OpsPerTxn)
+	for i := 0; i < cfg.OpsPerTxn; i++ {
+		p := home
+		if cross && i > 0 {
+			p = rng.Intn(cfg.Partitions)
+		}
+		var k storage.Key
+		for attempt := 0; ; attempt++ {
+			k = w.Key(p, rng.Intn(cfg.RecordsPerPartition))
+			if _, dup := seen[k]; !dup || attempt >= 8 {
+				break
+			}
+		}
+		seen[k] = struct{}{}
+		parts[i], keys[i] = p, k
+	}
+	if cross && allSame(parts) {
+		parts[cfg.OpsPerTxn-1] = (home + 1) % cfg.Partitions
+		keys[cfg.OpsPerTxn-1] = w.Key(parts[cfg.OpsPerTxn-1], rng.Intn(cfg.RecordsPerPartition))
+	}
+	return parts, keys, arg
+}
+
+// TestGenDrawsMatchSeenMap replays the map-based draw loop on the same
+// seed, over partitions small enough that duplicate keys (and the
+// retry path) are frequent.
+func TestGenDrawsMatchSeenMap(t *testing.T) {
+	w := New(Config{Partitions: 2, RecordsPerPartition: 12, CrossPct: 50})
+	g := w.NewGen(13).(*Gen)
+	rng := rand.New(rand.NewSource(13))
+	row, val := w.schema.NewRow(), make([]byte, w.cfg.FieldSize)
+	for i := 0; i < 2000; i++ {
+		home := i % 2
+		cross := i%3 == 0
+		var got *Txn
+		if cross {
+			got = g.Cross(home).(*Txn)
+		} else {
+			got = g.Single(home).(*Txn)
+		}
+		parts, keys, arg := mapGen(w, rng, row, val, home, cross)
+		if !reflect.DeepEqual(got.parts, parts) || !reflect.DeepEqual(got.keys, keys) ||
+			!reflect.DeepEqual(got.ops[0].Arg, arg) {
+			t.Fatalf("txn %d: draws diverged from the seen-map loop", i)
+		}
+		g.Recycle(got)
 	}
 }
